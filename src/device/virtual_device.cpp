@@ -2,12 +2,29 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
-#include <thread>
 
+#include "device/block_pool.hpp"
+#include "obs/metrics.hpp"
 #include "util/check.hpp"
 
 namespace gvc::device {
+
+namespace {
+
+struct LaunchMetrics {
+  std::shared_ptr<obs::Histogram> overhead;
+
+  static const LaunchMetrics& get() {
+    static const LaunchMetrics* m = new LaunchMetrics{
+        obs::Registry::global().histogram(
+            "gvc_device_launch_overhead_seconds",
+            "launch wall time not spent inside a resident thread's blocks"),
+    };
+    return *m;
+  }
+};
+
+}  // namespace
 
 std::uint64_t LaunchStats::total_nodes() const {
   std::uint64_t sum = 0;
@@ -88,38 +105,40 @@ LaunchStats VirtualDevice::launch(
     stats.blocks[static_cast<std::size_t>(block_id)] = ctx.mutable_stats();
   };
 
-  if (cooperative) {
-    // Persistent grid: every block resident simultaneously, assigned to SMs
-    // round-robin (how a full-occupancy persistent launch lands on HW).
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(grid_size));
-    for (int b = 0; b < grid_size; ++b)
-      threads.emplace_back(run_block, b, b % spec_.num_sms, b);
-    for (auto& t : threads) t.join();
-  } else {
-    // Pooled: `resident` slots drain the grid in block-id order. A slot is
-    // pinned to an SM; each block it runs inherits that SM, matching the
-    // free-slot dispatch of the hardware scheduler.
+  // Cooperative: a persistent grid, every block resident on its own pool
+  // thread at once and assigned to SMs round-robin (how a full-occupancy
+  // persistent launch lands on HW). Pooled: `resident` slots drain the grid
+  // in block-id order; a slot is pinned to an SM and each block it runs
+  // inherits that SM, matching the hardware scheduler's free-slot dispatch.
+  int threads = grid_size;
+  if (!cooperative) {
     if (resident <= 0)
       resident = static_cast<int>(std::min<std::int64_t>(
           spec_.max_resident_blocks(), grid_size));
-    resident = std::min(resident, grid_size);
-    std::atomic<int> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(resident));
-    for (int slot = 0; slot < resident; ++slot) {
-      threads.emplace_back([&, slot] {
-        for (;;) {
-          int b = next.fetch_add(1, std::memory_order_relaxed);
-          if (b >= grid_size) return;
-          run_block(b, slot % spec_.num_sms, slot);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
+    threads = std::min(resident, grid_size);
   }
+  std::atomic<int> next{0};
+  std::vector<std::uint64_t> busy_ns(static_cast<std::size_t>(threads), 0);
+  BlockPool::instance().run(threads, [&](int t) {
+    const std::uint64_t start = util::now_ns();
+    if (cooperative) {
+      run_block(t, t % spec_.num_sms, t);
+    } else {
+      for (;;) {
+        int b = next.fetch_add(1, std::memory_order_relaxed);
+        if (b >= grid_size) break;
+        run_block(b, t % spec_.num_sms, t);
+      }
+    }
+    busy_ns[static_cast<std::size_t>(t)] = util::now_ns() - start;
+  });
 
   stats.wall_seconds = timer.seconds();
+  const std::uint64_t longest =
+      *std::max_element(busy_ns.begin(), busy_ns.end());
+  stats.overhead_seconds =
+      std::max(0.0, stats.wall_seconds - static_cast<double>(longest) * 1e-9);
+  LaunchMetrics::get().overhead->observe_seconds(stats.overhead_seconds);
   return stats;
 }
 

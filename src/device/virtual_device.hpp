@@ -1,16 +1,21 @@
 #pragma once
 
-// Execution substrate: runs a grid of "thread blocks" (host threads) against
-// the device model, reproducing the two scheduling regimes the paper's
-// kernels rely on:
+// Execution substrate: runs a grid of "thread blocks" on resident host
+// threads (see block_pool.hpp) against the device model, reproducing the
+// two scheduling regimes the paper's kernels rely on:
 //
 //  * cooperative launch — every block in the grid is resident and runs
-//    concurrently for the whole kernel (the persistent-grid Hybrid kernel,
-//    whose worklist termination protocol requires all blocks to
-//    participate); and
-//  * pooled launch — more blocks than resident slots; blocks are dispatched
-//    to free slots in id order, exactly how a GPU scheduler drains a grid
-//    (the StackOnly kernel with one block per sub-tree).
+//    concurrently for the whole kernel, each on its own pool thread (the
+//    persistent-grid Hybrid kernel, whose worklist termination protocol
+//    requires all blocks to participate); and
+//  * pooled launch — more blocks than resident slots; `resident` pool
+//    threads drain the grid in id order, exactly how a GPU scheduler
+//    dispatches blocks to free slots (the StackOnly kernel with one block
+//    per sub-tree).
+//
+// The pool's threads park between launches, so a launch wakes threads
+// instead of creating them — the host analogue of a GPU launching onto
+// SMs that already exist.
 //
 // Each block gets a BlockContext carrying its id, its SM assignment, a
 // visited-node counter (the unit of Fig. 5) and an ActivityAccumulator (the
@@ -108,6 +113,11 @@ class NodeCounter {
 struct LaunchStats {
   int num_sms = 0;
   double wall_seconds = 0.0;
+  /// Launch cost: wall_seconds minus the longest resident thread's busy
+  /// time (one block under a cooperative launch, a slot's whole drain loop
+  /// under a pooled one), clamped at 0 — the waking, handoff and joining
+  /// that a GPU launch does in microseconds.
+  double overhead_seconds = 0.0;
   std::vector<BlockStats> blocks;
 
   std::uint64_t total_nodes() const;
@@ -143,11 +153,13 @@ class VirtualDevice {
 
   /// Runs `body` for block ids [0, grid_size).
   ///
-  /// cooperative=true: one thread per block, all concurrent (required when
-  /// blocks synchronize through shared state, e.g. the global worklist
-  /// termination protocol). cooperative=false: blocks are drained by
-  /// `resident` worker slots in id order; `resident` defaults to the
-  /// device's max resident blocks and is clamped to grid_size.
+  /// cooperative=true: every block on its own pool thread, all concurrent
+  /// (required when blocks synchronize through shared state, e.g. the
+  /// global worklist termination protocol). cooperative=false: blocks are
+  /// drained by `resident` pool threads (slots) in id order; `resident`
+  /// defaults to the device's max resident blocks and is clamped to
+  /// grid_size. Either way the launch never waits for a busy pool thread,
+  /// so concurrent and nested launches cannot deadlock.
   LaunchStats launch(int grid_size, bool cooperative,
                      const std::function<void(BlockContext&)>& body,
                      int resident = 0) const;

@@ -102,13 +102,24 @@ ParallelResult Runner::run(const Instance& inst, Method method,
   return parallel::solve(inst.graph(), method, c, &budget);
 }
 
+namespace {
+
+/// ">outcome" for a cell whose solve hit a limit.
+std::string limit_cell(const ParallelResult& r) {
+  std::string cell = ">";
+  cell += vc::to_string(r.outcome);
+  return cell;
+}
+
+}  // namespace
+
 std::string Runner::time_cell(const ParallelResult& r) {
-  if (r.limit_hit()) return ">" + std::string(vc::to_string(r.outcome));
+  if (r.limit_hit()) return limit_cell(r);
   return util::format("%.3f", r.seconds);
 }
 
 std::string Runner::sim_time_cell(const ParallelResult& r) {
-  if (r.limit_hit()) return ">" + std::string(vc::to_string(r.outcome));
+  if (r.limit_hit()) return limit_cell(r);
   return util::format("%.4f", r.sim_seconds);
 }
 

@@ -1,13 +1,43 @@
 #include "device/virtual_device.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
+
+#include "obs/metrics.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+#define GVC_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GVC_TEST_TSAN 1
+#endif
+#endif
 
 namespace gvc::device {
 namespace {
+
+/// A cooperative grid whose blocks each wait until every block of the grid
+/// has started: it completes only if all `grid` blocks are resident at once.
+LaunchStats barrier_launch(const VirtualDevice& dev, int grid) {
+  std::atomic<int> started{0};
+  return dev.launch(grid, /*cooperative=*/true, [&](BlockContext&) {
+    started.fetch_add(1);
+    while (started.load() < grid) std::this_thread::yield();
+  });
+}
+
+std::uint64_t threads_spawned() {
+  return obs::Registry::global().counter_value(
+      "gvc_device_threads_spawned_total");
+}
 
 TEST(VirtualDevice, PooledRunsEveryBlockExactlyOnce) {
   VirtualDevice dev(DeviceSpec::host_scaled());
@@ -113,8 +143,8 @@ TEST(VirtualDevice, MakespanCountsCpuWorkNotSleep) {
   VirtualDevice dev(DeviceSpec::host_scaled());
   // Busy blocks accrue CPU makespan; a sleeping block accrues ~none — the
   // property that makes makespan a faithful simulated-parallel-time metric.
-  volatile double sink = 0;
   auto busy = dev.launch(2, false, [&](BlockContext&) {
+    volatile double sink = 0;  // per block: the blocks run concurrently
     for (int i = 0; i < 2'000'000; ++i) sink = sink + 1.0;
   });
   auto idle = dev.launch(2, false, [&](BlockContext&) {
@@ -141,6 +171,123 @@ TEST(VirtualDevice, ResidentLimitRespectsConcurrency) {
       },
       /*resident=*/3);
   EXPECT_LE(peak.load(), 3);
+}
+
+TEST(VirtualDevice, SteadyStateCooperativeLaunchesSpawnNoThreads) {
+  VirtualDevice dev(DeviceSpec::host_scaled());
+  barrier_launch(dev, 32);  // warm-up: the pool holds >= 32 threads now
+  const std::uint64_t before = threads_spawned();
+  for (int i = 0; i < 100; ++i) {
+    const LaunchStats st = dev.launch(32, true, [](BlockContext&) {});
+    ASSERT_EQ(st.blocks.size(), 32u);
+    EXPECT_GE(st.overhead_seconds, 0.0);
+    EXPECT_LE(st.overhead_seconds, st.wall_seconds);
+  }
+  EXPECT_EQ(threads_spawned() - before, 0u);
+}
+
+TEST(VirtualDevice, LaunchMetricsAreRegistered) {
+  VirtualDevice dev(DeviceSpec::host_scaled());
+  dev.launch(4, true, [](BlockContext&) {});
+  const std::string text = obs::Registry::global().prometheus_text();
+  EXPECT_NE(text.find("gvc_device_launch_overhead_seconds"), std::string::npos);
+  EXPECT_NE(text.find("gvc_device_threads_spawned_total"), std::string::npos);
+  EXPECT_NE(text.find("gvc_device_pool_threads"), std::string::npos);
+  EXPECT_GT(threads_spawned(), 0u);
+}
+
+TEST(VirtualDevice, ConcurrentCooperativeLaunchesAllComplete) {
+  // Four hosts launch barrier grids at once: every grid needs all its
+  // blocks resident together, so a launch that waited for another launch's
+  // threads (instead of spawning) would deadlock here.
+  constexpr int kHosts = 4, kGrid = 8, kRounds = 20;
+  VirtualDevice dev(DeviceSpec::host_scaled());
+  std::atomic<int> ready{0}, completed{0};
+  std::vector<std::thread> hosts;
+  for (int h = 0; h < kHosts; ++h)
+    hosts.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kHosts) std::this_thread::yield();
+      for (int r = 0; r < kRounds; ++r)
+        if (barrier_launch(dev, kGrid).blocks.size() == kGrid)
+          completed.fetch_add(1);
+    });
+  for (auto& t : hosts) t.join();
+  EXPECT_EQ(completed.load(), kHosts * kRounds);
+}
+
+TEST(VirtualDevice, LaunchFromInsideABlockCompletes) {
+  VirtualDevice dev(DeviceSpec::host_scaled());
+  std::atomic<int> started{0}, inner_blocks{0};
+  dev.launch(4, true, [&](BlockContext&) {
+    // Every outer block holds its thread while it launches.
+    started.fetch_add(1);
+    while (started.load() < 4) std::this_thread::yield();
+    inner_blocks.fetch_add(
+        static_cast<int>(barrier_launch(dev, 4).blocks.size()));
+    dev.launch(
+        10, false, [&](BlockContext&) { inner_blocks.fetch_add(1); },
+        /*resident=*/2);
+  });
+  EXPECT_EQ(inner_blocks.load(), 4 * (4 + 10));
+}
+
+TEST(VirtualDevice, PooledSlotIdsStayInRangeAndBlocksRunOnce) {
+  constexpr int kGrid = 200, kResident = 5;
+  const DeviceSpec spec = DeviceSpec::host_scaled();
+  VirtualDevice dev(spec);
+  for (int round = 0; round < 3; ++round) {  // later rounds reuse threads
+    std::vector<std::atomic<int>> runs(kGrid);
+    std::atomic<int> bad_slots{0};
+    const LaunchStats stats = dev.launch(
+        kGrid, false,
+        [&](BlockContext& ctx) {
+          runs[static_cast<std::size_t>(ctx.block_id())].fetch_add(1);
+          if (ctx.slot_id() < 0 || ctx.slot_id() >= kResident ||
+              ctx.sm_id() != ctx.slot_id() % spec.num_sms)
+            bad_slots.fetch_add(1);
+        },
+        kResident);
+    EXPECT_EQ(bad_slots.load(), 0);
+    for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+    ASSERT_EQ(stats.blocks.size(), static_cast<std::size_t>(kGrid));
+    for (int b = 0; b < kGrid; ++b)
+      EXPECT_EQ(stats.blocks[static_cast<std::size_t>(b)].block_id, b);
+  }
+}
+
+TEST(VirtualDevice, ForkedChildLaunchesOnItsOwnThreads) {
+#ifdef GVC_TEST_TSAN
+  GTEST_SKIP() << "ThreadSanitizer cannot start threads after a "
+                  "multi-threaded fork";
+#endif
+  VirtualDevice dev(DeviceSpec::host_scaled());
+  barrier_launch(dev, 8);  // the parent now has parked pool threads
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Only the forking thread exists here: handing a block to one of the
+    // parent's parked threads would never run it.
+    const bool ok =
+        barrier_launch(dev, 8).blocks.size() == 8u &&
+        dev.launch(20, false, [](BlockContext&) {}, 3).blocks.size() == 20u;
+    ::_exit(ok ? 0 : 1);
+  }
+  int status = 0;
+  pid_t done = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((done = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  if (done == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+    FAIL() << "forked child's launch did not complete";
+  }
+  ASSERT_EQ(done, pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(VirtualDeviceDeathTest, RejectsEmptyGrid) {

@@ -36,6 +36,11 @@ graph::CsrGraph slow_graph() { return graph::gnp(140, 0.2, 1); }
 /// running when we act".
 graph::CsrGraph medium_graph() { return graph::gnp(120, 0.25, 1); }
 
+/// A blocker that never finishes within a test: its Sequential tree grows
+/// ~2.5x per 10 vertices from slow_graph()'s, i.e. hours of solving. Tests
+/// that pin a worker with it end it with JobTicket::cancel().
+graph::CsrGraph endless_graph() { return graph::gnp(250, 0.2, 1); }
+
 void spin_until_running(const JobTicket& t) {
   while (t.state->status() == JobStatus::kQueued) std::this_thread::yield();
   // Either kRunning now, or already terminal (we lost the race — callers
@@ -49,7 +54,7 @@ TEST(Cancellation, QueuedJobTurnsTerminalImmediately) {
 
   // Pin the single worker so the victim stays queued.
   JobSpec blocker;
-  blocker.graph = share(medium_graph());
+  blocker.graph = share(endless_graph());
   blocker.method = Method::kSequential;
   JobTicket tb = svc.submit(blocker);
   spin_until_running(tb);
@@ -78,6 +83,7 @@ TEST(Cancellation, QueuedJobTurnsTerminalImmediately) {
   retry.method = Method::kSequential;
   JobTicket tr = svc.submit(std::move(retry));
   EXPECT_FALSE(tr.coalesced);
+  tb.cancel();  // free the worker for the retry
   EXPECT_EQ(tr.state->wait(), JobStatus::kDone);
   EXPECT_FALSE(tr.cache_hit);
   EXPECT_TRUE(svc.wait(tr).complete());

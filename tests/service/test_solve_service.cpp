@@ -24,6 +24,12 @@ std::shared_ptr<const graph::CsrGraph> share(graph::CsrGraph g) {
   return std::make_shared<graph::CsrGraph>(std::move(g));
 }
 
+/// A blocker that never finishes within a test (a Sequential solve of
+/// hours): it pins a worker until the test ends it with JobTicket::cancel().
+std::shared_ptr<const graph::CsrGraph> endless_graph() {
+  return share(graph::gnp(250, 0.2, 1));
+}
+
 /// Deterministic config: a single block makes the parallel traversals
 /// sequentialized, so repeated runs (and the service's run) visit the same
 /// tree — the precondition for bit-identity.
@@ -179,7 +185,7 @@ TEST(SolveService, ExpiredDeadlineJobsAreDroppedNotSolved) {
 
   // Occupy the single worker so the deadlined job waits in the queue.
   JobSpec blocker;
-  blocker.graph = share(graph::complement(graph::p_hat(60, 0.4, 0.9, 17)));
+  blocker.graph = endless_graph();
   blocker.method = Method::kSequential;
   JobTicket tb = svc.submit(blocker);
 
@@ -194,6 +200,7 @@ TEST(SolveService, ExpiredDeadlineJobsAreDroppedNotSolved) {
   EXPECT_FALSE(dropped.has_cover());
   EXPECT_EQ(dropped.outcome, vc::Outcome::kDeadline);
 
+  tb.cancel();
   svc.wait(tb);
   EXPECT_GE(svc.stats().expired, 1u);
 
@@ -285,12 +292,11 @@ TEST(SolveService, RejectPolicyRefusesOverflowInsteadOfBlocking) {
   opts.full_policy = JobQueue::FullPolicy::kReject;
   SolveService svc(opts);
 
-  // Pin the worker on a hard instance, then flood the 2-slot shard with
-  // distinct jobs. With the worker busy, at most 2 can be queued + however
-  // many the worker manages to drain; with enough submissions some MUST be
-  // rejected — and under kReject, submit() never blocks.
+  // Pin the worker on an endless instance, then flood the 2-slot shard with
+  // distinct jobs. With the worker busy, at most 2 can be queued; the rest
+  // MUST be rejected — and under kReject, submit() never blocks.
   JobSpec blocker;
-  blocker.graph = share(graph::complement(graph::p_hat(70, 0.4, 0.9, 23)));
+  blocker.graph = endless_graph();
   blocker.method = Method::kSequential;
   JobTicket tb = svc.submit(blocker);
   while (tb.state->status() == JobStatus::kQueued)
@@ -304,6 +310,7 @@ TEST(SolveService, RejectPolicyRefusesOverflowInsteadOfBlocking) {
     spec.method = Method::kSequential;
     flood.push_back(svc.submit(std::move(spec)));
   }
+  tb.cancel();  // the two queued jobs now run
 
   std::size_t rejected = 0;
   for (const auto& t : flood)
