@@ -3,7 +3,9 @@
 // add+remove, stack push+pop, terminate), the three reduction rules, and
 // branching (find max degree, remove vmax, remove neighbors). Per-block
 // activity cycles are normalized within each block and averaged over blocks,
-// exactly as the paper measures with SM clocks.
+// exactly as the paper measures with SM clocks. The solves opt in to the
+// per-node profile (vc::SolveControl::enable_activity_profile), which every
+// other caller leaves off because its clock reads cost more than the search.
 //
 //   ./fig6_breakdown [--scale smoke|default|large]
 
@@ -20,24 +22,28 @@ int main(int argc, char** argv) {
               bench::scale_name(env.scale));
 
   std::vector<std::string> cols = {"Graph"};
-  for (int a = 0; a < util::kNumActivities; ++a)
+  for (int a = 0; a < util::kNumFig6Activities; ++a)
     cols.push_back(util::activity_name(static_cast<Activity>(a)));
   std::vector<util::Align> aligns(cols.size(), util::Align::kRight);
   aligns[0] = util::Align::kLeft;
   util::Table table(cols, aligns);
   if (env.csv) env.csv->header(cols);
 
-  std::vector<double> mean_fracs(util::kNumActivities, 0.0);
+  std::vector<double> mean_fracs(util::kNumFig6Activities, 0.0);
   util::ActivityAccumulator total_work;
   int counted = 0;
 
   for (const auto& inst : env.catalog) {
-    auto r = env.r().run(inst, parallel::Method::kHybrid,
-                         harness::ProblemInstance::kMvc);
+    // Runner::run's MVC cell, plus the per-node profile.
+    vc::SolveControl control(env.r().options().limits);
+    control.enable_activity_profile();
+    auto r = parallel::solve(
+        inst.graph(), parallel::Method::kHybrid,
+        env.r().make_config(harness::ProblemInstance::kMvc, 0), &control);
     auto frac = r.launch.mean_activity_fractions();
     total_work.merge(r.launch.merged_activities());
     std::vector<std::string> row = {inst.name()};
-    for (int a = 0; a < util::kNumActivities; ++a) {
+    for (int a = 0; a < util::kNumFig6Activities; ++a) {
       row.push_back(util::format("%.1f%%", 100.0 * frac[a]));
       mean_fracs[static_cast<std::size_t>(a)] += frac[a];
     }
@@ -50,7 +56,7 @@ int main(int argc, char** argv) {
   table.add_separator();
   std::vector<std::string> mean_row = {"Mean"};
   double distribution = 0, reduction = 0, branching = 0;
-  for (int a = 0; a < util::kNumActivities; ++a) {
+  for (int a = 0; a < util::kNumFig6Activities; ++a) {
     double f = mean_fracs[static_cast<std::size_t>(a)] / counted;
     mean_row.push_back(util::format("%.1f%%", 100.0 * f));
     if (a <= static_cast<int>(Activity::kTerminate))
@@ -74,7 +80,7 @@ int main(int argc, char** argv) {
   double wd = 0, wr = 0, wb = 0;
   double wtotal = static_cast<double>(total_work.total_ns());
   if (wtotal > 0) {
-    for (int a = 0; a < util::kNumActivities; ++a) {
+    for (int a = 0; a < util::kNumFig6Activities; ++a) {
       double f = static_cast<double>(
                      total_work.ns(static_cast<Activity>(a))) / wtotal;
       if (a <= static_cast<int>(Activity::kTerminate)) wd += f;

@@ -89,7 +89,8 @@ VirtualDevice::VirtualDevice(DeviceSpec spec) : spec_(std::move(spec)) {
 
 LaunchStats VirtualDevice::launch(
     int grid_size, bool cooperative,
-    const std::function<void(BlockContext&)>& body, int resident) const {
+    const std::function<void(BlockContext&)>& body, int resident,
+    Profile profile) const {
   GVC_CHECK(grid_size > 0);
   LaunchStats stats;
   stats.num_sms = spec_.num_sms;
@@ -98,10 +99,10 @@ LaunchStats VirtualDevice::launch(
   util::WallTimer timer;
 
   auto run_block = [&](int block_id, int sm_id, int slot_id) {
-    BlockContext ctx(block_id, sm_id, slot_id);
+    BlockContext ctx(block_id, sm_id, slot_id, profile);
     std::uint64_t start = util::thread_cpu_ns();
     body(ctx);
-    ctx.mutable_stats().cpu_ns = util::thread_cpu_ns() - start;
+    ctx.finish(util::thread_cpu_ns() - start);
     stats.blocks[static_cast<std::size_t>(block_id)] = ctx.mutable_stats();
   };
 

@@ -19,7 +19,8 @@
 //
 // Each block gets a BlockContext carrying its id, its SM assignment, a
 // visited-node counter (the unit of Fig. 5) and an ActivityAccumulator (the
-// unit of Fig. 6). LaunchStats aggregates them per SM.
+// unit of Fig. 6). LaunchStats aggregates them per SM. A launch's Profile
+// decides whether the per-node Fig. 6 scopes read the clock at all.
 
 #include <cstdint>
 #include <functional>
@@ -29,6 +30,19 @@
 #include "util/timer.hpp"
 
 namespace gvc::device {
+
+/// How a launch charges its blocks' CPU time to Fig. 6 activities.
+enum class Profile : std::uint8_t {
+  /// The full breakdown: node_profile() is the block's accumulator, so each
+  /// per-node util::ActivityScope reads the thread CPU clock twice. The
+  /// launch books nothing itself; fractions are over instrumented time.
+  kPerNode,
+  /// The solve path: node_profile() is null and per-node scopes read no
+  /// clock. Only the per-adoption timers (worklist removal, termination)
+  /// run, and the launch books the rest of each block's cpu_ns as
+  /// util::Activity::kUntimed, so every block's activities sum to cpu_ns.
+  kPerAdoption,
+};
 
 /// Instrumentation record of one executed block.
 struct BlockStats {
@@ -44,8 +58,11 @@ struct BlockStats {
 /// Handed to the block body; the block's window onto its instrumentation.
 class BlockContext {
  public:
-  BlockContext(int block_id, int sm_id, int slot_id = -1)
-      : slot_id_(slot_id < 0 ? block_id : slot_id), stats_() {
+  BlockContext(int block_id, int sm_id, int slot_id = -1,
+               Profile profile = Profile::kPerNode)
+      : slot_id_(slot_id < 0 ? block_id : slot_id),
+        profile_(profile),
+        stats_() {
     stats_.block_id = block_id;
     stats_.sm_id = sm_id;
   }
@@ -68,13 +85,31 @@ class BlockContext {
 
   std::uint64_t nodes_visited() const { return stats_.nodes_visited; }
 
-  /// Per-activity cycle accounting (wrap work in util::ActivityScope).
+  /// Per-activity cycle accounting for the cheap timers that fire once per
+  /// adoption (worklist removal, termination), charged under any profile.
   util::ActivityAccumulator& activities() { return stats_.activities; }
+
+  /// The accumulator per-node scopes charge — null unless the launch runs
+  /// Profile::kPerNode, and util::ActivityScope reads no clock when null.
+  util::ActivityAccumulator* node_profile() {
+    return profile_ == Profile::kPerNode ? &stats_.activities : nullptr;
+  }
+
+  /// Records the block's CPU time; under Profile::kPerAdoption the part no
+  /// timer charged is booked as util::Activity::kUntimed.
+  void finish(std::uint64_t cpu_ns) {
+    stats_.cpu_ns = cpu_ns;
+    if (profile_ == Profile::kPerNode) return;
+    const std::uint64_t timed = stats_.activities.total_ns();
+    if (cpu_ns > timed)
+      stats_.activities.add(util::Activity::kUntimed, cpu_ns - timed);
+  }
 
   BlockStats& mutable_stats() { return stats_; }
 
  private:
   int slot_id_;
+  Profile profile_;
   BlockStats stats_;
 };
 
@@ -133,15 +168,17 @@ struct LaunchStats {
   /// the simulated parallel execution time of the launch. This is the
   /// primary "GPU seconds" metric on this substrate: on a host with fewer
   /// cores than virtual SMs, wall time measures total work while this
-  /// recovers the parallel shape (see DESIGN.md §2).
+  /// recovers the parallel shape (docs/observability.md §6).
   double makespan_seconds() const;
 
   /// Sum of all blocks' activity accumulators.
   util::ActivityAccumulator merged_activities() const;
 
   /// Fig. 6's metric: for each activity, the mean over blocks of that
-  /// block's fraction of instrumented time spent in the activity.
-  /// Blocks with no instrumented time are skipped.
+  /// block's fraction of its accounted time spent in the activity. Under
+  /// Profile::kPerAdoption a block's accounted time is its cpu_ns (the
+  /// kUntimed residual fills the gap); under kPerNode it is the instrumented
+  /// time. Blocks with no accounted time are skipped.
   std::vector<double> mean_activity_fractions() const;
 };
 
@@ -159,10 +196,12 @@ class VirtualDevice {
   /// drained by `resident` pool threads (slots) in id order; `resident`
   /// defaults to the device's max resident blocks and is clamped to
   /// grid_size. Either way the launch never waits for a busy pool thread,
-  /// so concurrent and nested launches cannot deadlock.
+  /// so concurrent and nested launches cannot deadlock. `profile` is
+  /// handed to every block's BlockContext (see Profile).
   LaunchStats launch(int grid_size, bool cooperative,
                      const std::function<void(BlockContext&)>& body,
-                     int resident = 0) const;
+                     int resident = 0,
+                     Profile profile = Profile::kPerNode) const;
 
  private:
   DeviceSpec spec_;

@@ -35,6 +35,8 @@ Phase phase_of_activity(util::Activity a) {
       return Phase::kSteal;
     case Activity::kTerminate:
       return Phase::kIdle;
+    case Activity::kUntimed:
+      return Phase::kOther;
     case Activity::kCount:
       break;
   }

@@ -9,7 +9,10 @@
 // Where the numbers come from: reduce / branch / steal phases are folded
 // out of the solver's existing per-block ActivityAccumulator (the Fig. 6
 // instrumentation, CPU-ns summed over all blocks of a launch) once per
-// job — the solver hot path is untouched. idle and cache are measured
+// job. The reduce and branch split needs the solve's per-node profile
+// (vc::SolveControl::enable_activity_profile, on while tracing); without it
+// a launch reports only its worklist timers, and the rest of its block CPU
+// (util::Activity::kUntimed) folds into other. idle and cache are measured
 // directly in the service worker loop as wall time (queue-pop waits and
 // result-cache writes). The split therefore mixes block-CPU and worker-
 // wall nanoseconds; it is a breakdown, not a wall-clock reconciliation —
@@ -31,7 +34,8 @@ enum class Phase : int {
   kSteal,       // worklist traffic: donations, removals, steals
   kCache,       // result-cache writes on the worker path
   kIdle,        // queue-pop waits + in-launch termination waiting
-  kOther,       // solve time with no activity attribution (sequential jobs)
+  kOther,       // solve time with no activity attribution: sequential
+                // jobs, and the untimed residual of unprofiled launches
   kCount
 };
 inline constexpr int kPhaseCount = static_cast<int>(Phase::kCount);

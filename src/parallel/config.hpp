@@ -17,13 +17,15 @@
 namespace gvc::parallel {
 
 /// Reusable cross-job solver scratch. A solve() call allocates per-block
-/// reduce workspaces (degree-array-sized vectors) on every invocation; a
-/// caller that solves many instances back to back — a SolveService worker,
-/// a harness sweep — holds one SolveWorkspace and passes it to every call
-/// so those buffers are paid for once and stay warm across jobs. The
-/// workspace is NOT thread-safe: one workspace per calling thread. Within
-/// one solve() the blocks of the launch index disjoint entries, which is
-/// safe because the pool is sized before the grid starts.
+/// reduce workspaces (degree-array-sized vectors) and the global worklist's
+/// node slots on every invocation; a caller that solves many instances back
+/// to back — a SolveService worker, a harness sweep — holds one
+/// SolveWorkspace and passes it to every call so those buffers are paid for
+/// once and stay warm across jobs. The workspace is NOT thread-safe: one
+/// workspace per calling thread. Within one solve() the blocks of the launch
+/// index disjoint entries, which is safe because the pool is sized before
+/// the grid starts; the worklist slots are handed out by the worklist's own
+/// free list.
 class SolveWorkspace {
  public:
   /// Scratch for block `block_id` of the current launch. Valid only between
@@ -40,22 +42,30 @@ class SolveWorkspace {
       blocks_.resize(static_cast<std::size_t>(grid));
   }
 
-  /// Releases per-block scratch beyond `max_blocks`. Long-lived owners
-  /// (service workers) call this between jobs so one huge-grid job — e.g.
-  /// StackOnly at start_depth 16 = 65536 blocks, each holding |V|-sized
-  /// buffers — doesn't pin its pool for the owner's lifetime. The first
-  /// `max_blocks` entries stay warm for the common resident-grid sizes.
-  void trim(int max_blocks) {
+  /// Node storage for the Hybrid and GlobalOnly worklists, kept warm
+  /// across solves like the per-block scratch.
+  worklist::WorklistSlots& worklist_slots() { return slots_; }
+
+  /// Releases per-block scratch beyond `max_blocks` and worklist slot
+  /// buffers beyond `max_slot_bytes`. Long-lived owners (service workers)
+  /// call this between jobs so one huge job — e.g. StackOnly at
+  /// start_depth 16 = 65536 blocks, or a Hybrid solve that queued
+  /// thousands of |V|-sized nodes of a huge graph — doesn't pin its memory
+  /// for the owner's lifetime. The first `max_blocks` entries and the
+  /// warmest slots stay warm for the common sizes.
+  void trim(int max_blocks, std::size_t max_slot_bytes) {
     if (blocks_.size() > static_cast<std::size_t>(max_blocks)) {
       blocks_.resize(static_cast<std::size_t>(max_blocks));
       blocks_.shrink_to_fit();
     }
+    slots_.trim(max_slot_bytes);
   }
 
   std::size_t block_count() const { return blocks_.size(); }
 
  private:
   std::vector<vc::ReduceWorkspace> blocks_;
+  worklist::WorklistSlots slots_;
 };
 
 struct ParallelConfig {

@@ -59,7 +59,8 @@ ParallelResult solve_global_only(const CsrGraph& g,
   // so try_donate degenerates to "add unless full" — the per-node policy of
   // the strawman. rejected_full then counts exactly the explosion events.
   GlobalWorklist worklist(config.worklist_capacity, config.worklist_capacity,
-                          grid);
+                          grid,
+                          workspace ? &workspace->worklist_slots() : nullptr);
   worklist.add(vc::DegreeArray(g));
 
   std::atomic<std::uint64_t> spills{0};
@@ -87,7 +88,7 @@ ParallelResult solve_global_only(const CsrGraph& g,
 
       if (!have_node) {
         if (!spill.empty()) {
-          ActivityScope scope(ctx.activities(), Activity::kStackPop);
+          ActivityScope scope(ctx.node_profile(), Activity::kStackPop);
           da = std::move(spill.back());
           spill.pop_back();
         } else {
@@ -122,29 +123,29 @@ ParallelResult solve_global_only(const CsrGraph& g,
       // the locally retained order still favors the deeper (neighbors)
       // branch, mirroring Fig. 4's traversal order.
       {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveNeighbors);
+        ActivityScope scope(ctx.node_profile(), Activity::kRemoveNeighbors);
         child = da;
         child.remove_neighbors_into_solution(g, vmax);
       }
       {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
+        ActivityScope scope(ctx.node_profile(), Activity::kRemoveMaxVertex);
         da.remove_into_solution(g, vmax);
       }
       bool donated_child;
       {
-        ActivityScope scope(ctx.activities(), Activity::kWorklistAdd);
-        donated_child = worklist.try_donate(std::move(child));
+        ActivityScope scope(ctx.node_profile(), Activity::kWorklistAdd);
+        donated_child = worklist.try_donate(child);
       }
       if (!donated_child) {
         spills.fetch_add(1, std::memory_order_relaxed);
         obs::trace_instant(obs::TraceCat::kWork, "spill");
-        ActivityScope scope(ctx.activities(), Activity::kStackPush);
+        ActivityScope scope(ctx.node_profile(), Activity::kStackPush);
         spill.push_back(child);
       }
       bool donated_self;
       {
-        ActivityScope scope(ctx.activities(), Activity::kWorklistAdd);
-        donated_self = worklist.try_donate(std::move(da));
+        ActivityScope scope(ctx.node_profile(), Activity::kWorklistAdd);
+        donated_self = worklist.try_donate(da);
       }
       if (!donated_self) {
         // Keep it in hand: processing it directly is cheaper than a spill
@@ -157,7 +158,8 @@ ParallelResult solve_global_only(const CsrGraph& g,
   };
 
   device::VirtualDevice dev(config.device);
-  result.launch = dev.launch(grid, /*cooperative=*/true, body);
+  result.launch = dev.launch(grid, /*cooperative=*/true, body, /*resident=*/0,
+                             launch_profile(control));
 
   static_cast<vc::SolveResult&>(result) = shared.harvest();
   result.greedy_upper_bound = greedy.size;

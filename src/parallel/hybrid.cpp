@@ -58,7 +58,8 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
       config.worklist_threshold_frac *
       static_cast<double>(config.worklist_capacity));
   GlobalWorklist worklist(config.worklist_capacity,
-                          std::min(threshold, config.worklist_capacity), grid);
+                          std::min(threshold, config.worklist_capacity), grid,
+                          workspace ? &workspace->worklist_slots() : nullptr);
 
   // Seed: the worklist initially holds the root of the tree (§IV-A).
   worklist.add(vc::DegreeArray(g));
@@ -114,7 +115,7 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
         // is exhausted, adopt a new root from the worklist (the incoming
         // node replaces da's value wholesale, so the trail restarts empty).
         if (!vc::retreat_to_next_branch(trail, frames, g, da,
-                                        &ctx.activities())) {
+                                        ctx.node_profile())) {
           trail.reset();
           std::uint64_t t0 = util::thread_cpu_ns();
           GlobalWorklist::RemoveOutcome out = worklist.remove(da);
@@ -159,11 +160,11 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
       bool gate_open = !broker_wants && worklist.poll_donate_gate();
       if (broker_wants || gate_open) {
         {
-          ActivityScope scope(ctx.activities(), Activity::kRemoveNeighbors);
+          ActivityScope scope(ctx.node_profile(), Activity::kRemoveNeighbors);
           snapshot = da;
           snapshot.remove_neighbors_into_solution(g, vmax);
         }
-        ActivityScope scope(ctx.activities(), Activity::kWorklistAdd);
+        ActivityScope scope(ctx.node_profile(), Activity::kWorklistAdd);
         if (broker_wants) {
           donated = migrate->try_export(std::move(snapshot));
           if (donated)
@@ -172,16 +173,16 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
             gate_open = worklist.poll_donate_gate();
         }
         if (!donated && gate_open) {
-          donated = worklist.try_donate(std::move(snapshot));
+          donated = worklist.try_donate(snapshot);
           if (donated) obs::trace_instant(obs::TraceCat::kWork, "donate");
         }
       }
       {
-        ActivityScope scope(ctx.activities(), Activity::kStackPush);
+        ActivityScope scope(ctx.node_profile(), Activity::kStackPush);
         frames.push_back({trail.watermark(da), vmax, !donated});
       }
       {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
+        ActivityScope scope(ctx.node_profile(), Activity::kRemoveMaxVertex);
         da.remove_into_solution(g, vmax);
       }
       enter = true;
@@ -211,15 +212,17 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
       if (get_new_node) {
         bool popped;
         {
-          ActivityScope scope(ctx.activities(), Activity::kStackPop);
+          ActivityScope scope(ctx.node_profile(), Activity::kStackPop);
           popped = stack.try_pop(da);
         }
         if (popped) {
           adopt_node(config, da, ws);  // fresh standalone node
         } else {
           // CPU time, like every activity: contention/polling cost is
-          // charged, sleep-waiting is free (an idle SM). See EXPERIMENTS.md
-          // for how this maps onto the paper's Fig. 6 waiting share.
+          // charged, sleep-waiting is free (an idle SM). Timed under every
+          // launch profile — once per removal, not per node. See
+          // docs/observability.md §6 for how this maps onto the paper's
+          // Fig. 6 waiting share.
           std::uint64_t t0 = util::thread_cpu_ns();
           GlobalWorklist::RemoveOutcome out = worklist.remove(da);
           std::uint64_t elapsed = util::thread_cpu_ns() - t0;
@@ -254,28 +257,28 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
       // if below threshold, else keep it on the local stack; then continue
       // immediately with the vmax child.
       {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveNeighbors);
+        ActivityScope scope(ctx.node_profile(), Activity::kRemoveNeighbors);
         child = da;
         child.remove_neighbors_into_solution(g, vmax);
       }
       bool donated;
       {
-        ActivityScope scope(ctx.activities(), Activity::kWorklistAdd);
+        ActivityScope scope(ctx.node_profile(), Activity::kWorklistAdd);
         donated = migrate != nullptr && migrate->want_export() &&
                   migrate->try_export(std::move(child));
         if (donated) {
           obs::trace_instant(obs::TraceCat::kWork, "migrate");
         } else {
-          donated = worklist.try_donate(std::move(child));
+          donated = worklist.try_donate(child);
           if (donated) obs::trace_instant(obs::TraceCat::kWork, "donate");
         }
       }
       if (!donated) {
-        ActivityScope scope(ctx.activities(), Activity::kStackPush);
+        ActivityScope scope(ctx.node_profile(), Activity::kStackPush);
         stack.push(child);
       }
       {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
+        ActivityScope scope(ctx.node_profile(), Activity::kRemoveMaxVertex);
         da.remove_into_solution(g, vmax);
       }
       get_new_node = false;
@@ -290,7 +293,8 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
   };
 
   device::VirtualDevice dev(config.device);
-  result.launch = dev.launch(grid, /*cooperative=*/true, body);
+  result.launch = dev.launch(grid, /*cooperative=*/true, body, /*resident=*/0,
+                             launch_profile(control));
 
   // Settle migrated nodes BEFORE harvesting: un-imported exports are taken
   // back and run inline (they are unexplored subtrees — a clean MVC

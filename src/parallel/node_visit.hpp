@@ -22,6 +22,15 @@ namespace gvc::parallel {
 
 enum class NodeOutcome { kAbort, kPruned, kFound, kBranch };
 
+/// The launch profile a solve asked for, read once at launch: the full
+/// per-node Fig. 6 breakdown when the control opted in, otherwise only the
+/// per-adoption timers plus the untimed residual (see device::Profile).
+inline device::Profile launch_profile(const vc::SolveControl* control) {
+  return control != nullptr && control->activity_profile_enabled()
+             ? device::Profile::kPerNode
+             : device::Profile::kPerAdoption;
+}
+
 /// A block picked up a root or donated node (worklist removal, steal, stack
 /// pop): invalidate the workspace's cached KernelTag so the next reduce()
 /// re-classifies for the adopted lineage, and rebuild/re-attach the degree
@@ -52,7 +61,7 @@ inline NodeOutcome process_node(const graph::CsrGraph& g,
   const bool mvc = config.problem == vc::Problem::kMvc;
   const vc::BudgetPolicy policy = mvc ? vc::BudgetPolicy::mvc(shared.best())
                                       : vc::BudgetPolicy::pvc(config.k);
-  vc::reduce(g, da, policy, config.semantics, config.rules, &ctx.activities(),
+  vc::reduce(g, da, policy, config.semantics, config.rules, ctx.node_profile(),
              &workspace, config.kernel_dispatch);
 
   const std::int64_t s = da.solution_size();
@@ -73,7 +82,8 @@ inline NodeOutcome process_node(const graph::CsrGraph& g,
 
   graph::Vertex vmax;
   {
-    util::ActivityScope scope(ctx.activities(), util::Activity::kFindMaxDegree);
+    util::ActivityScope scope(ctx.node_profile(),
+                              util::Activity::kFindMaxDegree);
     vmax = vc::select_branch_vertex(da, config.branch, config.branch_seed);
   }
   if (vmax < 0) {  // edgeless: cover found
@@ -105,8 +115,10 @@ inline void drain_subtree(const graph::CsrGraph& g,
                           vc::DegreeArray root, vc::ReduceWorkspace& ws) {
   // Instrumentation sinks: migrated nodes run outside any launch, so block
   // stats go nowhere (the service charges the wall time to its own phase
-  // table); shared-node accounting still flows through NodeBatch.
-  device::BlockContext ctx(/*block_id=*/0, /*sm_id=*/0);
+  // table) and no per-node scope reads the clock; shared-node accounting
+  // still flows through NodeBatch.
+  device::BlockContext ctx(/*block_id=*/0, /*sm_id=*/0, /*slot_id=*/-1,
+                           device::Profile::kPerAdoption);
   NodeBatch nodes(shared);
   device::NodeCounter visited(ctx);
   const bool mvc = config.problem == vc::Problem::kMvc;

@@ -72,10 +72,10 @@ ParallelResult solve_stack_only(const CsrGraph& g,
           process_node(g, config, shared, nodes, visited, ctx, da, ws, vmax);
       if (out != NodeOutcome::kBranch) return;  // sub-tree is empty
       if ((ctx.block_id() >> level) & 1) {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveNeighbors);
+        ActivityScope scope(ctx.node_profile(), Activity::kRemoveNeighbors);
         da.remove_neighbors_into_solution(g, vmax);
       } else {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
+        ActivityScope scope(ctx.node_profile(), Activity::kRemoveMaxVertex);
         da.remove_into_solution(g, vmax);
       }
     }
@@ -99,15 +99,15 @@ ParallelResult solve_stack_only(const CsrGraph& g,
         if (out == NodeOutcome::kAbort) break;
         if (out == NodeOutcome::kBranch) {
           {
-            ActivityScope scope(ctx.activities(), Activity::kStackPush);
+            ActivityScope scope(ctx.node_profile(), Activity::kStackPush);
             frames.push_back({trail.watermark(da), vmax, true});
           }
-          ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
+          ActivityScope scope(ctx.node_profile(), Activity::kRemoveMaxVertex);
           da.remove_into_solution(g, vmax);
           continue;
         }
-        have_node =
-            vc::retreat_to_next_branch(trail, frames, g, da, &ctx.activities());
+        have_node = vc::retreat_to_next_branch(trail, frames, g, da,
+                                               ctx.node_profile());
       }
       da.attach_trail(nullptr);
       return;
@@ -119,7 +119,7 @@ ParallelResult solve_stack_only(const CsrGraph& g,
     for (;;) {
       if (!have_node) {
         {
-          ActivityScope scope(ctx.activities(), Activity::kStackPop);
+          ActivityScope scope(ctx.node_profile(), Activity::kStackPop);
           if (!stack.try_pop(da)) break;  // sub-tree exhausted
         }
         adopt_node(config, da, ws);  // fresh standalone node
@@ -134,16 +134,16 @@ ParallelResult solve_stack_only(const CsrGraph& g,
         continue;
       }
       {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveNeighbors);
+        ActivityScope scope(ctx.node_profile(), Activity::kRemoveNeighbors);
         child = da;
         child.remove_neighbors_into_solution(g, vmax);
       }
       {
-        ActivityScope scope(ctx.activities(), Activity::kStackPush);
+        ActivityScope scope(ctx.node_profile(), Activity::kStackPush);
         stack.push(child);
       }
       {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
+        ActivityScope scope(ctx.node_profile(), Activity::kRemoveMaxVertex);
         da.remove_into_solution(g, vmax);
       }
       have_node = true;
@@ -151,8 +151,8 @@ ParallelResult solve_stack_only(const CsrGraph& g,
   };
 
   device::VirtualDevice dev(config.device);
-  result.launch =
-      dev.launch(grid, /*cooperative=*/false, body, result.plan.grid_size);
+  result.launch = dev.launch(grid, /*cooperative=*/false, body,
+                             result.plan.grid_size, launch_profile(control));
 
   static_cast<vc::SolveResult&>(result) = shared.harvest();
   result.greedy_upper_bound = greedy.size;

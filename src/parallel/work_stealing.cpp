@@ -221,11 +221,11 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
         // Backtrack through the frames; once the descent is exhausted, take
         // back the advertised node (if no thief got it first), else steal.
         if (!vc::retreat_to_next_branch(trail, frames, g, da,
-                                        &ctx.activities())) {
+                                        ctx.node_profile())) {
           trail.reset();
           bool popped;
           {
-            ActivityScope scope(ctx.activities(), Activity::kStackPop);
+            ActivityScope scope(ctx.node_profile(), Activity::kStackPop);
             popped = own.try_pop_bottom(da);
           }
           if (!popped) {
@@ -282,7 +282,7 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
            own.size_approx() < own.capacity());
       if (broker_wants || advertise_locally) {
         {
-          ActivityScope scope(ctx.activities(), Activity::kRemoveNeighbors);
+          ActivityScope scope(ctx.node_profile(), Activity::kRemoveNeighbors);
           snapshot = da;
           snapshot.remove_neighbors_into_solution(g, vmax);
         }
@@ -292,7 +292,7 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
           branches_since_advert = 0;
         } else if (advertise_locally) {
           {
-            ActivityScope scope(ctx.activities(), Activity::kStackPush);
+            ActivityScope scope(ctx.node_profile(), Activity::kStackPush);
             own.push_bottom(std::move(snapshot));
           }
           group.notify();
@@ -301,11 +301,11 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
         }
       }
       {
-        ActivityScope scope(ctx.activities(), Activity::kStackPush);
+        ActivityScope scope(ctx.node_profile(), Activity::kStackPush);
         frames.push_back({trail.watermark(da), vmax, !advertised});
       }
       {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
+        ActivityScope scope(ctx.node_profile(), Activity::kRemoveMaxVertex);
         da.remove_into_solution(g, vmax);
       }
       enter = true;
@@ -335,7 +335,7 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
       if (get_new_node) {
         bool popped;
         {
-          ActivityScope scope(ctx.activities(), Activity::kStackPop);
+          ActivityScope scope(ctx.node_profile(), Activity::kStackPop);
           popped = own.try_pop_bottom(da);
         }
         if (!popped) {
@@ -377,7 +377,7 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
       // OWN deque — load balancing is the thieves' job — unless a starved
       // remote device claims it first (tier-2 migration).
       {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveNeighbors);
+        ActivityScope scope(ctx.node_profile(), Activity::kRemoveNeighbors);
         child = da;
         child.remove_neighbors_into_solution(g, vmax);
       }
@@ -386,13 +386,13 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
         obs::trace_instant(obs::TraceCat::kWork, "migrate");
       } else {
         {
-          ActivityScope scope(ctx.activities(), Activity::kStackPush);
+          ActivityScope scope(ctx.node_profile(), Activity::kStackPush);
           own.push_bottom(child);
         }
         group.notify();
       }
       {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
+        ActivityScope scope(ctx.node_profile(), Activity::kRemoveMaxVertex);
         da.remove_into_solution(g, vmax);
       }
       get_new_node = false;
@@ -408,7 +408,8 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
   };
 
   device::VirtualDevice dev(config.device);
-  result.launch = dev.launch(grid, /*cooperative=*/true, body);
+  result.launch = dev.launch(grid, /*cooperative=*/true, body, /*resident=*/0,
+                             launch_profile(control));
 
   // Settle migrated nodes before harvesting (see solve_hybrid): reclaim
   // and run what nobody imported — unless the solve already stopped — and

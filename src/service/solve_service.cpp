@@ -398,11 +398,14 @@ void SolveService::observe_latency(double e2e_s, double queue_s,
 void SolveService::worker_loop(int w) {
   obs::set_thread_label(util::format("svc-worker-%d", w));
 
-  // The worker's cross-job solver scratch: reduce workspaces stay warm
-  // from one job to the next, trimmed after each job to a pool bound that
-  // covers every resident-grid size this substrate plans (so a one-off
-  // huge StackOnly grid doesn't pin 2^start_depth |V|-sized buffers).
+  // The worker's cross-job solver scratch: reduce workspaces and worklist
+  // slots stay warm from one job to the next, trimmed after each job to a
+  // pool bound that covers every resident-grid size this substrate plans
+  // (so a one-off huge StackOnly grid doesn't pin 2^start_depth |V|-sized
+  // buffers) and to a slot byte bound (so one huge-graph Hybrid job doesn't
+  // pin threshold x |V| bytes of queued nodes).
   constexpr int kRetainedWorkspaceBlocks = 64;
+  constexpr std::size_t kRetainedWorklistSlotBytes = std::size_t{8} << 20;
   parallel::SolveWorkspace workspace;
   JobQueue& queue = *queues_[static_cast<std::size_t>(w)];
   const bool stealing = options_.steal_tiers != StealTiers::kNone;
@@ -445,6 +448,9 @@ void SolveService::worker_loop(int w) {
     // deadline — the control stops it mid-flight with Outcome::kDeadline.
     vc::SolveControl& control = *job->control();
     control.set_deadline(deadline_abs);
+    // A traced run keeps its reduce/branch phase split: the solve then pays
+    // for the per-node Fig. 6 profile. Untraced jobs run without it.
+    if (obs::tracing()) control.enable_activity_profile();
     if (!job->start()) {
       // Terminal before it ran — cancelled while queued, or rejected
       // during shutdown. Release the in-flight cache registration (unless
@@ -512,10 +518,12 @@ void SolveService::worker_loop(int w) {
 
     // Fold the solve's own activity profile into this worker's phase
     // split. The blocks ran on the launch's simulated-SM threads, so this
-    // is CPU work attributed to the worker that drove the launch; solvers
-    // that report no block activity — Sequential's direct path, and batch
-    // launches whose blocks are Sequential engines — book their wall time
-    // as kOther so the table still accounts every solve.
+    // is CPU work attributed to the worker that drove the launch. Without
+    // the per-node profile a launch reports its worklist timers plus the
+    // untimed residual, which folds into kOther; solvers that report no
+    // block activity — Sequential's direct path, and batch launches whose
+    // blocks are Sequential engines — book their wall time as kOther so the
+    // table still accounts every solve.
     if (result.launch.blocks.empty() ||
         result.launch.merged_activities().total_ns() == 0) {
       phase_table_.add(w, obs::Phase::kOther,
@@ -538,7 +546,7 @@ void SolveService::worker_loop(int w) {
                        static_cast<std::uint64_t>(
                            (service_now_s() - cache_from_s) * 1e9));
     }
-    workspace.trim(kRetainedWorkspaceBlocks);
+    workspace.trim(kRetainedWorkspaceBlocks, kRetainedWorklistSlotBytes);
     jobs_per_worker_[static_cast<std::size_t>(w)]->fetch_add(
         1, std::memory_order_relaxed);
 

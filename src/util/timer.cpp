@@ -24,6 +24,7 @@ const char* activity_name(Activity a) {
     case Activity::kFindMaxDegree:         return "Find max degree vertex";
     case Activity::kRemoveMaxVertex:       return "Remove max-degree vertex";
     case Activity::kRemoveNeighbors:       return "Remove neighbors of max-degree vertex";
+    case Activity::kUntimed:               return "Untimed (residual)";
     case Activity::kCount:                 break;
   }
   return "?";

@@ -5,8 +5,10 @@
 // ActivityAccumulator mirrors how the paper instruments its kernels (§V-D):
 // each thread block records, per activity, the number of "SM clock" cycles
 // spent; breakdowns are normalized per block then averaged. Here the clock is
-// std::chrono::steady_clock in nanoseconds, which plays the role of the SM
-// cycle counter.
+// the calling thread's CPU clock (thread_cpu_ns, CLOCK_THREAD_CPUTIME_ID) in
+// nanoseconds, which plays the role of the SM cycle counter. Unlike the SM
+// register, one read costs a system call (hundreds of ns on a VM), so the
+// per-node scopes are opt-in: see vc::SolveControl::enable_activity_profile.
 
 #include <array>
 #include <chrono>
@@ -50,7 +52,8 @@ std::uint64_t thread_cpu_ns();
 
 /// Activities instrumented in the MVC/PVC kernels, matching Fig. 6 of the
 /// paper: three work-distribution groups, three reduction rules, and three
-/// branching steps, plus termination waiting.
+/// branching steps, plus termination waiting — and one residual that is not
+/// a Fig. 6 column.
 enum class Activity : int {
   kWorklistAdd = 0,
   kWorklistRemove,
@@ -63,10 +66,17 @@ enum class Activity : int {
   kFindMaxDegree,
   kRemoveMaxVertex,
   kRemoveNeighbors,
+  /// The residual: block CPU time that no scope charged. A launch without
+  /// the per-node profile books it once per block (cpu_ns minus the cheap
+  /// per-adoption timers), so a block's activities still sum to its CPU.
+  kUntimed,
   kCount
 };
 
 inline constexpr int kNumActivities = static_cast<int>(Activity::kCount);
+
+/// The eleven instrumented activities of Fig. 6: every one but kUntimed.
+inline constexpr int kNumFig6Activities = static_cast<int>(Activity::kUntimed);
 
 /// Human-readable label for an activity (as printed in Fig. 6's legend).
 const char* activity_name(Activity a);
@@ -93,17 +103,21 @@ class ActivityAccumulator {
 
 /// RAII scope that charges the calling thread's CPU time over its lifetime
 /// to one activity of an accumulator (see thread_cpu_ns for why CPU time).
+/// A null accumulator turns the scope off: it reads no clock at all, which
+/// is how the solvers' per-node scopes cost nothing unless profiling is on.
 class ActivityScope {
  public:
-  ActivityScope(ActivityAccumulator& acc, Activity a)
-      : acc_(acc), activity_(a), start_(thread_cpu_ns()) {}
-  ~ActivityScope() { acc_.add(activity_, thread_cpu_ns() - start_); }
+  ActivityScope(ActivityAccumulator* acc, Activity a)
+      : acc_(acc), activity_(a), start_(acc ? thread_cpu_ns() : 0) {}
+  ~ActivityScope() {
+    if (acc_) acc_->add(activity_, thread_cpu_ns() - start_);
+  }
 
   ActivityScope(const ActivityScope&) = delete;
   ActivityScope& operator=(const ActivityScope&) = delete;
 
  private:
-  ActivityAccumulator& acc_;
+  ActivityAccumulator* acc_;
   Activity activity_;
   std::uint64_t start_;
 };

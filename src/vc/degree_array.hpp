@@ -204,6 +204,12 @@ class DegreeArray {
   /// Present vertices (ascending).
   std::vector<Vertex> present_vertices() const;
 
+  /// Heap bytes held by the array's buffers (capacity, not size).
+  std::size_t heap_bytes() const {
+    return deg_.capacity() * sizeof(std::int32_t) +
+           dirty_.capacity() * sizeof(Vertex);
+  }
+
   /// Recomputes degrees / |S| / |E| from scratch against g and aborts on any
   /// divergence from the maintained values, including a max-degree cache
   /// bound below the true maximum. Test and debugging aid.

@@ -180,13 +180,6 @@ std::int64_t high_degree_sweep(const CsrGraph& g, DegreeArray& da,
   return removed;
 }
 
-template <typename Fn>
-auto timed(util::ActivityAccumulator* acc, util::Activity a, Fn&& fn) {
-  if (!acc) return fn();
-  util::ActivityScope scope(*acc, a);
-  return fn();
-}
-
 // --- shape-specialized sweep kernels (KernelDispatch::kAuto) ----------------
 //
 // The u8/u16 sweep kernels mirror the generic int32 functions above line for
@@ -334,23 +327,29 @@ ReduceStats reduce_sweep_pass(const CsrGraph& g, DegreeArray& da,
   do {
     round_removed = 0;
     if constexpr (D1) {
-      std::int64_t n = timed(acc, util::Activity::kDegreeOneRule, [&] {
-        return degree_one_sweep_narrow<SnapT>(g, da, snap);
-      });
+      std::int64_t n;
+      {
+        util::ActivityScope scope(acc, util::Activity::kDegreeOneRule);
+        n = degree_one_sweep_narrow<SnapT>(g, da, snap);
+      }
       stats.degree_one_removed += n;
       round_removed += n;
     }
     if constexpr (D2) {
-      std::int64_t n = timed(acc, util::Activity::kDegreeTwoTriangleRule, [&] {
-        return degree_two_sweep_narrow<SnapT>(g, da, snap);
-      });
+      std::int64_t n;
+      {
+        util::ActivityScope scope(acc, util::Activity::kDegreeTwoTriangleRule);
+        n = degree_two_sweep_narrow<SnapT>(g, da, snap);
+      }
       stats.degree_two_removed += n;
       round_removed += n;
     }
     if constexpr (HD) {
-      std::int64_t n = timed(acc, util::Activity::kHighDegreeRule, [&] {
-        return high_degree_sweep_narrow<SnapT>(g, da, policy, snap);
-      });
+      std::int64_t n;
+      {
+        util::ActivityScope scope(acc, util::Activity::kHighDegreeRule);
+        n = high_degree_sweep_narrow<SnapT>(g, da, policy, snap);
+      }
       stats.high_degree_removed += n;
       round_removed += n;
     }
@@ -545,25 +544,31 @@ ReduceStats reduce_incremental(const CsrGraph& g, DegreeArray& da,
   do {
     round_removed = 0;
     if (rules.degree_one) {
-      std::int64_t n = timed(acc, util::Activity::kDegreeOneRule, [&] {
-        return degree_one_incremental(g, da, ws, cursor_deg1, !seeded_deg1);
-      });
+      std::int64_t n;
+      {
+        util::ActivityScope scope(acc, util::Activity::kDegreeOneRule);
+        n = degree_one_incremental(g, da, ws, cursor_deg1, !seeded_deg1);
+      }
       seeded_deg1 = true;
       stats.degree_one_removed += n;
       round_removed += n;
     }
     if (rules.degree_two_triangle) {
-      std::int64_t n = timed(acc, util::Activity::kDegreeTwoTriangleRule, [&] {
-        return degree_two_incremental(g, da, ws, cursor_deg2, !seeded_deg2);
-      });
+      std::int64_t n;
+      {
+        util::ActivityScope scope(acc, util::Activity::kDegreeTwoTriangleRule);
+        n = degree_two_incremental(g, da, ws, cursor_deg2, !seeded_deg2);
+      }
       seeded_deg2 = true;
       stats.degree_two_removed += n;
       round_removed += n;
     }
     if (rules.high_degree) {
-      std::int64_t n = timed(acc, util::Activity::kHighDegreeRule, [&] {
-        return high_degree_incremental(g, da, policy);
-      });
+      std::int64_t n;
+      {
+        util::ActivityScope scope(acc, util::Activity::kHighDegreeRule);
+        n = high_degree_incremental(g, da, policy);
+      }
       stats.high_degree_removed += n;
       round_removed += n;
     }
@@ -765,8 +770,10 @@ ReduceStats reduce_incremental_pass(const CsrGraph& g, DegreeArray& da,
                            : seeded1 ? SeedMode::kLog
                                      : SeedMode::kScan;
       if (mode != SeedMode::kLog || cursor1 < log.size()) {
-        std::int64_t n = timed(acc, util::Activity::kDegreeOneRule, [&] {
-          return run_rule_pass(
+        std::int64_t n;
+        {
+          util::ActivityScope scope(acc, util::Activity::kDegreeOneRule);
+          n = run_rule_pass(
               da, ws, cursor1, mode, &ws.seed1, 1, kRuleBitDegreeOne,
               [&](Vertex v) -> std::int64_t {
                 if (!da.present(v) || da.degree(v) != 1) return 0;
@@ -774,7 +781,7 @@ ReduceStats reduce_incremental_pass(const CsrGraph& g, DegreeArray& da,
                 da.remove_into_solution(g, u);
                 return 1;
               });
-        });
+        }
         stats.degree_one_removed += n;
         round_removed += n;
       }
@@ -786,8 +793,11 @@ ReduceStats reduce_incremental_pass(const CsrGraph& g, DegreeArray& da,
                            : seeded2 ? SeedMode::kLog
                                      : SeedMode::kScan;
       if (mode != SeedMode::kLog || cursor2 < log.size()) {
-        std::int64_t n = timed(acc, util::Activity::kDegreeTwoTriangleRule, [&] {
-          return run_rule_pass(
+        std::int64_t n;
+        {
+          util::ActivityScope scope(acc,
+                                    util::Activity::kDegreeTwoTriangleRule);
+          n = run_rule_pass(
               da, ws, cursor2, mode, &ws.seed2, 2, kRuleBitDegreeTwo,
               [&](Vertex v) -> std::int64_t {
                 if (!da.present(v) || da.degree(v) != 2) return 0;
@@ -798,7 +808,7 @@ ReduceStats reduce_incremental_pass(const CsrGraph& g, DegreeArray& da,
                 da.remove_into_solution(g, b);
                 return 2;
               });
-        });
+        }
         stats.degree_two_removed += n;
         round_removed += n;
       }
@@ -806,9 +816,11 @@ ReduceStats reduce_incremental_pass(const CsrGraph& g, DegreeArray& da,
       list2 = false;
     }
     if constexpr (HD) {
-      std::int64_t n = timed(acc, util::Activity::kHighDegreeRule, [&] {
-        return high_degree_incremental(g, da, policy);
-      });
+      std::int64_t n;
+      {
+        util::ActivityScope scope(acc, util::Activity::kHighDegreeRule);
+        n = high_degree_incremental(g, da, policy);
+      }
       stats.high_degree_removed += n;
       round_removed += n;
     }
@@ -1235,23 +1247,29 @@ ReduceStats reduce(const CsrGraph& g, DegreeArray& da,
   do {
     round_removed = 0;
     if (rules.degree_one) {
-      std::int64_t n = timed(acc, util::Activity::kDegreeOneRule, [&] {
-        return apply_degree_one(g, da, semantics, &w);
-      });
+      std::int64_t n;
+      {
+        util::ActivityScope scope(acc, util::Activity::kDegreeOneRule);
+        n = apply_degree_one(g, da, semantics, &w);
+      }
       stats.degree_one_removed += n;
       round_removed += n;
     }
     if (rules.degree_two_triangle) {
-      std::int64_t n = timed(acc, util::Activity::kDegreeTwoTriangleRule, [&] {
-        return apply_degree_two_triangle(g, da, semantics, &w);
-      });
+      std::int64_t n;
+      {
+        util::ActivityScope scope(acc, util::Activity::kDegreeTwoTriangleRule);
+        n = apply_degree_two_triangle(g, da, semantics, &w);
+      }
       stats.degree_two_removed += n;
       round_removed += n;
     }
     if (rules.high_degree) {
-      std::int64_t n = timed(acc, util::Activity::kHighDegreeRule, [&] {
-        return apply_high_degree(g, da, policy, semantics, &w);
-      });
+      std::int64_t n;
+      {
+        util::ActivityScope scope(acc, util::Activity::kHighDegreeRule);
+        n = apply_high_degree(g, da, policy, semantics, &w);
+      }
       stats.high_degree_removed += n;
       round_removed += n;
     }

@@ -234,10 +234,24 @@ class SolveControl {
     return p;
   }
 
+  /// Per-node Fig. 6 accounting in the parallel solvers: off by default,
+  /// because every per-node scope then costs two thread-CPU clock reads.
+  /// Off, a launch still records each block's cpu_ns and the once-per-
+  /// adoption worklist/termination timers, with the rest booked as
+  /// util::Activity::kUntimed. Enable before the solve starts; the solver
+  /// reads it once at launch. Trees and results are identical either way.
+  void enable_activity_profile(bool on = true) {
+    want_activity_profile_.store(on, std::memory_order_release);
+  }
+  bool activity_profile_enabled() const {
+    return want_activity_profile_.load(std::memory_order_acquire);
+  }
+
  private:
   std::atomic<bool> cancelled_{false};
   std::atomic<double> deadline_s_{0.0};
   std::atomic<bool> want_progress_{false};
+  std::atomic<bool> want_activity_profile_{false};
   std::atomic<int> progress_best_{-1};
   std::atomic<std::uint64_t> progress_nodes_{0};
 };

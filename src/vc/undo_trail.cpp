@@ -88,21 +88,15 @@ bool retreat_to_next_branch(UndoTrail& trail, std::vector<BranchFrame>& frames,
     BranchFrame& f = frames.back();
     // Undo the child sub-tree just completed (the vmax child on the first
     // visit, the neighbors child on the second).
-    if (acc) {
-      util::ActivityScope scope(*acc, util::Activity::kStackPop);
-      trail.rollback(f.mark, da);
-    } else {
+    {
+      util::ActivityScope scope(acc, util::Activity::kStackPop);
       trail.rollback(f.mark, da);
     }
     if (f.neighbors_pending) {
       f.neighbors_pending = false;
       f.mark = trail.watermark(da);
-      if (acc) {
-        util::ActivityScope scope(*acc, util::Activity::kRemoveNeighbors);
-        da.remove_neighbors_into_solution(g, f.vmax);
-      } else {
-        da.remove_neighbors_into_solution(g, f.vmax);
-      }
+      util::ActivityScope scope(acc, util::Activity::kRemoveNeighbors);
+      da.remove_neighbors_into_solution(g, f.vmax);
       return true;
     }
     frames.pop_back();

@@ -6,26 +6,82 @@
 
 namespace gvc::worklist {
 
+std::size_t WorklistSlots::heap_bytes() const {
+  std::size_t bytes = 0;
+  for (const vc::DegreeArray& slot : slots_) bytes += slot.heap_bytes();
+  return bytes;
+}
+
+void WorklistSlots::trim(std::size_t max_bytes) {
+  std::size_t kept = 0;
+  for (vc::DegreeArray& slot : slots_) {
+    kept += slot.heap_bytes();
+    if (kept > max_bytes) slot = vc::DegreeArray();
+  }
+}
+
 GlobalWorklist::GlobalWorklist(std::size_t capacity, std::size_t threshold,
-                               int num_blocks)
-    : queue_(capacity), threshold_(threshold), num_blocks_(num_blocks) {
+                               int num_blocks, WorklistSlots* slots)
+    : queue_(capacity),
+      slots_(slots != nullptr ? *slots : own_slots_),
+      threshold_(threshold),
+      num_blocks_(num_blocks) {
   GVC_CHECK(num_blocks > 0);
   GVC_CHECK_MSG(threshold <= queue_.capacity(),
                 "threshold exceeds worklist capacity");
+  // One slot per queue cell: a free slot exists exactly when the queue has
+  // room, so "full" means what it meant when the cells held the nodes.
+  const std::size_t cells = queue_.capacity();
+  slots_.reserve(cells);
+  free_.resize(cells);
+  for (std::size_t i = 0; i < cells; ++i)
+    free_[i] = static_cast<std::uint32_t>(cells - 1 - i);  // slot 0 on top
 }
 
-void GlobalWorklist::add(vc::DegreeArray node) {
-  GVC_CHECK_MSG(queue_.try_push(std::move(node)), "worklist full while seeding");
+bool GlobalWorklist::acquire_slot(std::uint32_t& slot) {
+  std::lock_guard<std::mutex> lock(free_mutex_);
+  if (free_.empty()) return false;
+  slot = free_.back();
+  free_.pop_back();
+  return true;
+}
+
+void GlobalWorklist::release_slot(std::uint32_t slot) {
+  std::lock_guard<std::mutex> lock(free_mutex_);
+  free_.push_back(slot);
+}
+
+void GlobalWorklist::take(std::uint32_t slot, vc::DegreeArray& out) {
+  out = slots_[slot];
+  release_slot(slot);
+  removes_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void GlobalWorklist::add(const vc::DegreeArray& node) {
+  std::uint32_t slot = 0;
+  GVC_CHECK_MSG(acquire_slot(slot), "worklist full while seeding");
+  slots_[slot] = node;
+  GVC_CHECK_MSG(queue_.try_push(std::move(slot)),
+                "worklist full while seeding");
   adds_.fetch_add(1, std::memory_order_relaxed);
   wait_cv_.notify_one();
 }
 
-bool GlobalWorklist::try_donate(vc::DegreeArray&& node) {
+bool GlobalWorklist::try_donate(const vc::DegreeArray& node) {
   if (queue_.size_approx() >= threshold_) {
     rejected_threshold_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  if (!queue_.try_push(std::move(node))) {
+  std::uint32_t slot = 0;
+  if (!acquire_slot(slot)) {
+    rejected_full_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  slots_[slot] = node;
+  // The push can still find the cell at the head unreleased by a consumer
+  // that is mid-pop — the moment the node-carrying queue reported full too.
+  if (!queue_.try_push(std::uint32_t{slot})) {
+    release_slot(slot);
     rejected_full_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -46,8 +102,9 @@ GlobalWorklist::RemoveOutcome GlobalWorklist::remove(vc::DegreeArray& out) {
         done_.load(std::memory_order_acquire))
       return RemoveOutcome::kDone;
 
-    if (queue_.try_pop(out)) {
-      removes_.fetch_add(1, std::memory_order_relaxed);
+    std::uint32_t slot = 0;
+    if (queue_.try_pop(slot)) {
+      take(slot, out);
       return RemoveOutcome::kGot;
     }
 
@@ -59,9 +116,9 @@ GlobalWorklist::RemoveOutcome GlobalWorklist::remove(vc::DegreeArray& out) {
     // acq_rel chain through waiting_ makes completed pushes visible.)
     int now_waiting = waiting_.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (now_waiting == num_blocks_) {
-      if (queue_.try_pop(out)) {
+      if (queue_.try_pop(slot)) {
         waiting_.fetch_sub(1, std::memory_order_acq_rel);
-        removes_.fetch_add(1, std::memory_order_relaxed);
+        take(slot, out);
         return RemoveOutcome::kGot;
       }
       done_.store(true, std::memory_order_release);

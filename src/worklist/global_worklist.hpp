@@ -9,11 +9,20 @@
 //     is transiently empty but blocks are still working" (wait and retry)
 //     from "every block in the grid is waiting on an empty queue" (done).
 // The PVC found-flag (§IV-A) is folded in as signal_stop().
+//
+// Node storage is a pool of WorklistSlots: the broker queue carries u32 slot
+// indices, a donation is copy-assigned into a free slot and a removal is
+// copy-assigned out of it into the block's own array. Copy-assignment reuses
+// the destination's buffers, so once the slots and the blocks' arrays are
+// warm a donation/removal pair allocates nothing — and no block frees memory
+// another block allocated. A caller that solves repeatedly keeps the pool
+// (parallel::SolveWorkspace does) so the slots stay warm across solves.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <vector>
 
 #include "util/timer.hpp"
 #include "vc/degree_array.hpp"
@@ -34,6 +43,32 @@ struct WorklistStats {
   std::uint64_t steal_attempts = 0;  ///< locked probes of non-empty victims
 };
 
+/// Storage of a GlobalWorklist's nodes: one DegreeArray per queue cell,
+/// holding its buffers between uses. Not thread-safe to resize; a worklist
+/// only indexes slots its free list handed out.
+class WorklistSlots {
+ public:
+  /// Grows to at least `count` slots; existing slots keep their buffers.
+  void reserve(std::size_t count) {
+    if (slots_.size() < count) slots_.resize(count);
+  }
+
+  std::size_t size() const { return slots_.size(); }
+
+  vc::DegreeArray& operator[](std::uint32_t i) { return slots_[i]; }
+
+  /// Heap bytes held by the slots' buffers.
+  std::size_t heap_bytes() const;
+
+  /// Releases the buffers of every slot past the first `max_bytes` of heap
+  /// in index order. The worklist reuses the lowest free slot first, so the
+  /// warm prefix is the part the next solve touches.
+  void trim(std::size_t max_bytes);
+
+ private:
+  std::vector<vc::DegreeArray> slots_;
+};
+
 class GlobalWorklist {
  public:
   enum class RemoveOutcome {
@@ -44,8 +79,10 @@ class GlobalWorklist {
 
   /// num_blocks is the grid size: the number of blocks that participate in
   /// the termination protocol. Every one of them must eventually call
-  /// remove() (and keep calling it until kDone).
-  GlobalWorklist(std::size_t capacity, std::size_t threshold, int num_blocks);
+  /// remove() (and keep calling it until kDone). `slots` is the node storage
+  /// to use (grown to the queue's capacity); null makes a private pool.
+  GlobalWorklist(std::size_t capacity, std::size_t threshold, int num_blocks,
+                 WorklistSlots* slots = nullptr);
 
   std::size_t capacity() const { return queue_.capacity(); }
   std::size_t threshold() const { return threshold_; }
@@ -53,12 +90,13 @@ class GlobalWorklist {
 
   /// Unconditional add (used to seed the root). Aborts if the queue is full
   /// — seeding happens before the kernel starts, so fullness is a bug.
-  void add(vc::DegreeArray node);
+  void add(const vc::DegreeArray& node);
 
-  /// The donation path of Fig. 4 lines 23-26: adds only if the queue is
-  /// below the threshold (and not full). Returns true if the node was
-  /// donated; on false the caller pushes to its local stack instead.
-  bool try_donate(vc::DegreeArray&& node);
+  /// The donation path of Fig. 4 lines 23-26: adds a copy of `node` only if
+  /// the queue is below the threshold (and not full). Returns true if the
+  /// node was donated; on false the caller pushes to its local stack
+  /// instead. Either way `node` is left as it was.
+  bool try_donate(const vc::DegreeArray& node);
 
   /// The threshold gate of try_donate() without the push: returns whether a
   /// donation issued now would pass, counting a threshold rejection exactly
@@ -77,6 +115,7 @@ class GlobalWorklist {
   }
 
   /// Blocking removal implementing the retry/termination loop of §IV-C.
+  /// The entry is copy-assigned into `out`, reusing its buffers.
   RemoveOutcome remove(vc::DegreeArray& out);
 
   /// PVC: signal every block (including those asleep in remove()) to stop.
@@ -87,9 +126,24 @@ class GlobalWorklist {
   WorklistStats stats() const;
 
  private:
-  BrokerQueue<vc::DegreeArray> queue_;
+  /// Pops a free slot index; false when every slot is queued or in flight.
+  bool acquire_slot(std::uint32_t& slot);
+  void release_slot(std::uint32_t slot);
+
+  /// Copies the queued node in `slot` into `out` and frees the slot.
+  void take(std::uint32_t slot, vc::DegreeArray& out);
+
+  BrokerQueue<std::uint32_t> queue_;
+  WorklistSlots own_slots_;  // used when the caller passes no pool
+  WorklistSlots& slots_;
   std::size_t threshold_;
   int num_blocks_;
+
+  /// Free slot indices, a LIFO so the most recently used (warm) slots are
+  /// reused first and a pool's touched prefix stays as small as the peak
+  /// queue length. Taken once per donation and once per removal.
+  std::mutex free_mutex_;
+  std::vector<std::uint32_t> free_;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> done_{false};

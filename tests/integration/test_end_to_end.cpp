@@ -133,31 +133,73 @@ TEST(EndToEnd, DimacsRoundTripPreservesSolverAnswer) {
 }
 
 TEST(EndToEnd, InstrumentationIsInternallyConsistent) {
+  using util::Activity;
   auto cat = harness::paper_catalog(harness::Scale::kSmoke);
   harness::Runner runner(smoke_options());
   const auto& inst = harness::find_instance(cat, "p_hat_500_1");
-  auto r = runner.run(inst, parallel::Method::kHybrid,
-                      harness::ProblemInstance::kMvc);
-  ASSERT_TRUE(r.complete());
 
-  // Node accounting agrees between SharedSearch and per-block stats.
-  EXPECT_EQ(r.launch.total_nodes(), r.tree_nodes);
+  // Runner::run's MVC cell, once without and once with the per-node
+  // Fig. 6 profile.
+  for (const bool profile : {false, true}) {
+    SCOPED_TRACE(profile ? "activity profile on" : "activity profile off");
+    vc::SolveControl control(runner.options().limits);
+    control.enable_activity_profile(profile);
+    auto r = parallel::solve(inst.graph(), parallel::Method::kHybrid,
+                             runner.make_config(
+                                 harness::ProblemInstance::kMvc, 0),
+                             &control);
+    ASSERT_TRUE(r.complete());
 
-  // Normalized per-SM load averages to 1 and every SM is represented.
-  auto load = r.launch.load_per_sm_normalized();
-  EXPECT_EQ(static_cast<int>(load.size()), r.launch.num_sms);
-  double sum = 0;
-  for (double x : load) sum += x;
-  EXPECT_NEAR(sum / static_cast<double>(load.size()), 1.0, 1e-9);
+    // Node accounting agrees between SharedSearch and per-block stats.
+    EXPECT_EQ(r.launch.total_nodes(), r.tree_nodes);
 
-  // Activity fractions form a distribution.
-  auto frac = r.launch.mean_activity_fractions();
-  double fsum = 0;
-  for (double f : frac) fsum += f;
-  EXPECT_NEAR(fsum, 1.0, 1e-6);
+    // Normalized per-SM load averages to 1 and every SM is represented.
+    auto load = r.launch.load_per_sm_normalized();
+    EXPECT_EQ(static_cast<int>(load.size()), r.launch.num_sms);
+    double sum = 0;
+    for (double x : load) sum += x;
+    EXPECT_NEAR(sum / static_cast<double>(load.size()), 1.0, 1e-9);
 
-  // Worklist conservation: everything added was removed.
-  EXPECT_EQ(r.worklist.adds, r.worklist.removes);
+    // Activity fractions, the residual included, form a distribution.
+    auto frac = r.launch.mean_activity_fractions();
+    double fsum = 0;
+    for (double f : frac) fsum += f;
+    EXPECT_NEAR(fsum, 1.0, 1e-6);
+
+    auto share = [&](std::initializer_list<Activity> group) {
+      double s = 0;
+      for (Activity a : group) s += frac[static_cast<std::size_t>(a)];
+      return s;
+    };
+    const double reduction =
+        share({Activity::kDegreeOneRule, Activity::kDegreeTwoTriangleRule,
+               Activity::kHighDegreeRule});
+    const double branching =
+        share({Activity::kFindMaxDegree, Activity::kRemoveMaxVertex,
+               Activity::kRemoveNeighbors});
+    const util::ActivityAccumulator merged = r.launch.merged_activities();
+    if (profile) {
+      EXPECT_GT(reduction, 0.0);
+      EXPECT_GT(branching, 0.0);
+      EXPECT_EQ(merged.ns(Activity::kUntimed), 0u);
+    } else {
+      // Only the per-adoption timers ran; the residual holds the rest.
+      for (int a = 0; a < util::kNumFig6Activities; ++a) {
+        const auto activity = static_cast<Activity>(a);
+        if (activity == Activity::kWorklistRemove ||
+            activity == Activity::kTerminate)
+          continue;
+        EXPECT_EQ(merged.ns(activity), 0u) << util::activity_name(activity);
+      }
+      EXPECT_GT(merged.ns(Activity::kUntimed), 0u);
+      std::uint64_t cpu_ns = 0;
+      for (const auto& b : r.launch.blocks) cpu_ns += b.cpu_ns;
+      EXPECT_EQ(merged.total_ns(), cpu_ns);
+    }
+
+    // Worklist conservation: everything added was removed.
+    EXPECT_EQ(r.worklist.adds, r.worklist.removes);
+  }
 }
 
 TEST(EndToEnd, HybridBeatsOrMatchesStackOnlyNodesOnImbalancedInstance) {

@@ -36,6 +36,12 @@ TEST(PhaseOfActivity, Fig6Mapping) {
   EXPECT_EQ(phase_of_activity(Activity::kTerminate), Phase::kIdle);
 }
 
+TEST(PhaseOfActivity, UntimedResidualIsBusyOther) {
+  // The untimed residual of an unprofiled launch is solve work, not
+  // waiting: busy-time metrics (all phases but idle) must keep counting it.
+  EXPECT_EQ(phase_of_activity(util::Activity::kUntimed), Phase::kOther);
+}
+
 TEST(PhaseTable, AddAndSnapshot) {
   PhaseTable table(3);
   EXPECT_EQ(table.slots(), 3);

@@ -60,7 +60,7 @@ TEST(ActivityScope, ChargesCpuTimeForWork) {
   ActivityAccumulator acc;
   volatile double sink = 0;
   {
-    ActivityScope scope(acc, Activity::kFindMaxDegree);
+    ActivityScope scope(&acc, Activity::kFindMaxDegree);
     for (int i = 0; i < 5'000'000; ++i) sink = sink + 1.0;
   }
   EXPECT_GE(acc.ns(Activity::kFindMaxDegree), 500'000u);
@@ -71,7 +71,7 @@ TEST(ActivityScope, SleepIsNearlyFree) {
   // (almost) nothing, like an idle SM.
   ActivityAccumulator acc;
   {
-    ActivityScope scope(acc, Activity::kTerminate);
+    ActivityScope scope(&acc, Activity::kTerminate);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_LT(acc.ns(Activity::kTerminate), 5'000'000u);

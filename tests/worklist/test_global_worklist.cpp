@@ -12,6 +12,13 @@ namespace {
 
 vc::DegreeArray root(const graph::CsrGraph& g) { return vc::DegreeArray(g); }
 
+/// Heap bytes a worklist slot holds once a root of `g` was copied into it.
+std::size_t slot_bytes(const graph::CsrGraph& g) {
+  vc::DegreeArray slot;
+  slot = root(g);
+  return slot.heap_bytes();
+}
+
 TEST(GlobalWorklist, SeedAndSingleBlockDrain) {
   auto g = graph::cycle(6);
   GlobalWorklist wl(16, 8, /*num_blocks=*/1);
@@ -131,6 +138,40 @@ TEST(GlobalWorklist, MaxSizeSeenTracksPeak) {
   vc::DegreeArray out;
   for (int i = 0; i < 5; ++i) wl.remove(out);
   EXPECT_EQ(wl.stats().max_size_seen, 5u);
+}
+
+TEST(GlobalWorklist, SharedSlotsStayWarmAcrossWorklists) {
+  auto g = graph::cycle(64);
+  WorklistSlots slots;
+  for (int solve = 0; solve < 2; ++solve) {
+    GlobalWorklist wl(16, 8, /*num_blocks=*/1, &slots);
+    EXPECT_EQ(slots.size(), wl.capacity());
+    wl.add(root(g));
+    EXPECT_TRUE(wl.try_donate(root(g)));
+    vc::DegreeArray out;
+    EXPECT_EQ(wl.remove(out), GlobalWorklist::RemoveOutcome::kGot);
+    EXPECT_EQ(out, root(g));
+    EXPECT_EQ(wl.remove(out), GlobalWorklist::RemoveOutcome::kGot);
+    EXPECT_EQ(wl.remove(out), GlobalWorklist::RemoveOutcome::kDone);
+  }
+  // Freed slots are reused most-recent first: two queued nodes at a time
+  // touched two slots over both worklists, and they keep their buffers.
+  EXPECT_EQ(slots.heap_bytes(), 2 * slot_bytes(g));
+}
+
+TEST(GlobalWorklist, SlotTrimKeepsAWarmPrefixWithinTheBound) {
+  auto g = graph::cycle(64);
+  const std::size_t node_bytes = slot_bytes(g);
+  WorklistSlots slots;
+  {
+    GlobalWorklist wl(16, 16, /*num_blocks=*/1, &slots);
+    for (int i = 0; i < 4; ++i) EXPECT_TRUE(wl.try_donate(root(g)));
+  }
+  EXPECT_EQ(slots.heap_bytes(), 4 * node_bytes);
+  slots.trim(2 * node_bytes);
+  EXPECT_EQ(slots.heap_bytes(), 2 * node_bytes);
+  slots.trim(0);
+  EXPECT_EQ(slots.heap_bytes(), 0u);
 }
 
 TEST(GlobalWorklistDeathTest, ThresholdAboveCapacity) {
