@@ -58,8 +58,8 @@ struct BlockStats {
 /// Handed to the block body; the block's window onto its instrumentation.
 class BlockContext {
  public:
-  BlockContext(int block_id, int sm_id, int slot_id = -1,
-               Profile profile = Profile::kPerNode)
+  /// A negative `slot_id` means the block's own id.
+  BlockContext(int block_id, int sm_id, int slot_id, Profile profile)
       : slot_id_(slot_id < 0 ? block_id : slot_id),
         profile_(profile),
         stats_() {
@@ -197,11 +197,12 @@ class VirtualDevice {
   /// defaults to the device's max resident blocks and is clamped to
   /// grid_size. Either way the launch never waits for a busy pool thread,
   /// so concurrent and nested launches cannot deadlock. `profile` is
-  /// handed to every block's BlockContext (see Profile).
+  /// handed to every block's BlockContext (see Profile); the default is
+  /// the unprofiled solve path, like vc::SolveControl's.
   LaunchStats launch(int grid_size, bool cooperative,
                      const std::function<void(BlockContext&)>& body,
                      int resident = 0,
-                     Profile profile = Profile::kPerNode) const;
+                     Profile profile = Profile::kPerAdoption) const;
 
  private:
   DeviceSpec spec_;

@@ -65,7 +65,10 @@ BatchResult solve_batch(const std::vector<const graph::CsrGraph*>& graphs,
         ctx.count_nodes(r.tree_nodes);
         result.results[static_cast<std::size_t>(b)] = std::move(r);
       },
-      resident);
+      // The Sequential engines charge no activity, and kPerNode books no
+      // residual either: a batch reports no block activity, so a service
+      // worker charges its wall time instead.
+      resident, device::Profile::kPerNode);
 
   result.wall_seconds = timer.seconds();
   result.sim_seconds = result.launch.makespan_seconds();

@@ -59,7 +59,13 @@ inline NodeOutcome process_node(const graph::CsrGraph& g,
   visited.tick();
 
   const bool mvc = config.problem == vc::Problem::kMvc;
-  const vc::BudgetPolicy policy = mvc ? vc::BudgetPolicy::mvc(shared.best())
+  // MVC reads the shared best ONCE per node: the edge bound below is sound
+  // only for the budget the high-degree rule reduced against (every degree
+  // <= best - s - 1). Re-reading best after another block improved it
+  // would test the smaller budget's square against degrees bounded only by
+  // the larger budget, and prune subtrees that hold a smaller cover.
+  const std::int64_t best = mvc ? shared.best() : 0;
+  const vc::BudgetPolicy policy = mvc ? vc::BudgetPolicy::mvc(best)
                                       : vc::BudgetPolicy::pvc(config.k);
   vc::reduce(g, da, policy, config.semantics, config.rules, ctx.node_profile(),
              &workspace, config.kernel_dispatch);
@@ -67,7 +73,6 @@ inline NodeOutcome process_node(const graph::CsrGraph& g,
   const std::int64_t s = da.solution_size();
   const std::int64_t e = da.num_edges();
   if (mvc) {
-    const std::int64_t best = shared.best();
     if (s >= best || e > (best - s - 1) * (best - s - 1)) {
       obs::trace_instant_sampled(obs::TraceCat::kBranch, "prune", "size", s);
       return NodeOutcome::kPruned;

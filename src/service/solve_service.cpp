@@ -403,9 +403,13 @@ void SolveService::worker_loop(int w) {
   // pool bound that covers every resident-grid size this substrate plans
   // (so a one-off huge StackOnly grid doesn't pin 2^start_depth |V|-sized
   // buffers) and to a slot byte bound (so one huge-graph Hybrid job doesn't
-  // pin threshold x |V| bytes of queued nodes).
+  // pin threshold x |V| bytes of queued nodes). The slot bound is the
+  // measured peak of the benchmark's largest Hybrid job rounded up: a
+  // p_hat_500_3 (default scale) solve fills the queue to its threshold,
+  // 2,050 nodes, and leaves 1.8 MB of slot buffers; a wire-tiny job
+  // leaves about 13 KB.
   constexpr int kRetainedWorkspaceBlocks = 64;
-  constexpr std::size_t kRetainedWorklistSlotBytes = std::size_t{8} << 20;
+  constexpr std::size_t kRetainedWorklistSlotBytes = std::size_t{2} << 20;
   parallel::SolveWorkspace workspace;
   JobQueue& queue = *queues_[static_cast<std::size_t>(w)];
   const bool stealing = options_.steal_tiers != StealTiers::kNone;

@@ -8,16 +8,21 @@ namespace gvc::worklist {
 
 std::size_t WorklistSlots::heap_bytes() const {
   std::size_t bytes = 0;
-  for (const vc::DegreeArray& slot : slots_) bytes += slot.heap_bytes();
+  for (std::size_t i = 0; i < used_; ++i) bytes += slots_[i].heap_bytes();
   return bytes;
 }
 
 void WorklistSlots::trim(std::size_t max_bytes) {
   std::size_t kept = 0;
-  for (vc::DegreeArray& slot : slots_) {
-    kept += slot.heap_bytes();
-    if (kept > max_bytes) slot = vc::DegreeArray();
+  std::size_t end = 0;
+  for (std::size_t i = 0; i < used_; ++i) {
+    kept += slots_[i].heap_bytes();
+    if (kept > max_bytes)
+      slots_[i] = vc::DegreeArray();
+    else
+      end = i + 1;
   }
+  used_ = end;
 }
 
 GlobalWorklist::GlobalWorklist(std::size_t capacity, std::size_t threshold,
@@ -29,13 +34,17 @@ GlobalWorklist::GlobalWorklist(std::size_t capacity, std::size_t threshold,
   GVC_CHECK(num_blocks > 0);
   GVC_CHECK_MSG(threshold <= queue_.capacity(),
                 "threshold exceeds worklist capacity");
-  // One slot per queue cell: a free slot exists exactly when the queue has
-  // room, so "full" means what it meant when the cells held the nodes.
-  const std::size_t cells = queue_.capacity();
-  slots_.reserve(cells);
-  free_.resize(cells);
-  for (std::size_t i = 0; i < cells; ++i)
-    free_[i] = static_cast<std::uint32_t>(cells - 1 - i);  // slot 0 on top
+  // One slot per queue cell plus one per block: besides the queued nodes,
+  // each block holds at most one slot out of the queue — a donation being
+  // filled or a removal being copied out. So the free list never runs dry
+  // and a donation is refused as full only when the queue itself is, as
+  // when the cells held the nodes.
+  const std::size_t count =
+      queue_.capacity() + static_cast<std::size_t>(num_blocks);
+  slots_.reserve(count);
+  free_.resize(count);
+  for (std::size_t i = 0; i < count; ++i)
+    free_[i] = static_cast<std::uint32_t>(count - 1 - i);  // slot 0 on top
 }
 
 bool GlobalWorklist::acquire_slot(std::uint32_t& slot) {
@@ -43,6 +52,7 @@ bool GlobalWorklist::acquire_slot(std::uint32_t& slot) {
   if (free_.empty()) return false;
   slot = free_.back();
   free_.pop_back();
+  slots_.note_used(slot);
   return true;
 }
 

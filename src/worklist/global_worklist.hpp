@@ -43,9 +43,9 @@ struct WorklistStats {
   std::uint64_t steal_attempts = 0;  ///< locked probes of non-empty victims
 };
 
-/// Storage of a GlobalWorklist's nodes: one DegreeArray per queue cell,
-/// holding its buffers between uses. Not thread-safe to resize; a worklist
-/// only indexes slots its free list handed out.
+/// Storage of a GlobalWorklist's nodes: one DegreeArray per queue cell and
+/// per block, holding its buffers between uses. Not thread-safe to resize;
+/// a worklist only indexes slots its free list handed out.
 class WorklistSlots {
  public:
   /// Grows to at least `count` slots; existing slots keep their buffers.
@@ -57,6 +57,14 @@ class WorklistSlots {
 
   vc::DegreeArray& operator[](std::uint32_t i) { return slots_[i]; }
 
+  /// Records that slot `i` was handed out. Slots past the highest one
+  /// recorded hold no buffers, so heap_bytes() and trim() stop there: a
+  /// service worker trims after every job, and most jobs touch a few slots
+  /// of thousands, or none.
+  void note_used(std::uint32_t i) {
+    if (i >= used_) used_ = std::size_t{i} + 1;
+  }
+
   /// Heap bytes held by the slots' buffers.
   std::size_t heap_bytes() const;
 
@@ -67,6 +75,7 @@ class WorklistSlots {
 
  private:
   std::vector<vc::DegreeArray> slots_;
+  std::size_t used_ = 0;  ///< slots at or past this index hold no buffers
 };
 
 class GlobalWorklist {
@@ -80,7 +89,8 @@ class GlobalWorklist {
   /// num_blocks is the grid size: the number of blocks that participate in
   /// the termination protocol. Every one of them must eventually call
   /// remove() (and keep calling it until kDone). `slots` is the node storage
-  /// to use (grown to the queue's capacity); null makes a private pool.
+  /// to use (grown to the queue's capacity plus num_blocks); null makes a
+  /// private pool.
   GlobalWorklist(std::size_t capacity, std::size_t threshold, int num_blocks,
                  WorklistSlots* slots = nullptr);
 
@@ -126,7 +136,8 @@ class GlobalWorklist {
   WorklistStats stats() const;
 
  private:
-  /// Pops a free slot index; false when every slot is queued or in flight.
+  /// Pops a free slot index; false when every slot is queued or in flight
+  /// (only possible when more than num_blocks threads donate at once).
   bool acquire_slot(std::uint32_t& slot);
   void release_slot(std::uint32_t slot);
 

@@ -101,7 +101,7 @@ TEST(VirtualDevice, NodeCounterFlushesBatchedCountsOnBlockExit) {
 }
 
 TEST(VirtualDevice, NodeCounterExplicitFlushAndBulkCount) {
-  BlockContext ctx(0, 0);
+  BlockContext ctx(0, 0, /*slot_id=*/-1, Profile::kPerAdoption);
   NodeCounter counter(ctx);
   counter.tick();
   counter.tick();
@@ -126,10 +126,15 @@ TEST(VirtualDevice, NormalizedLoadAveragesToOne) {
 
 TEST(VirtualDevice, ActivityFractionsAreADistribution) {
   VirtualDevice dev(DeviceSpec::host_scaled());
-  auto stats = dev.launch(4, false, [&](BlockContext& ctx) {
-    ctx.activities().add(util::Activity::kDegreeOneRule, 300);
-    ctx.activities().add(util::Activity::kStackPush, 100);
-  });
+  // Profiled: the launch books no residual, so the fractions are over the
+  // 400 charged ns alone.
+  auto stats = dev.launch(
+      4, false,
+      [&](BlockContext& ctx) {
+        ctx.activities().add(util::Activity::kDegreeOneRule, 300);
+        ctx.activities().add(util::Activity::kStackPush, 100);
+      },
+      /*resident=*/0, Profile::kPerNode);
   auto frac = stats.mean_activity_fractions();
   double sum = 0;
   for (double f : frac) sum += f;

@@ -29,8 +29,13 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
+// GCC 12 flags free() here as a new/delete mismatch: it does not see that
+// this operator new is the replacement that allocated with malloc().
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace gvc::parallel {
 namespace {

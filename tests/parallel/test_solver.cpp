@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "vc/oracle.hpp"
@@ -84,6 +85,35 @@ TEST_P(AllMethodsTest, MvcMatchesOracleAcrossFamilies) {
     EXPECT_EQ(r.best_size, vc::oracle_mvc_size(g)) << "family " << i;
     EXPECT_TRUE(graph::is_vertex_cover(g, r.cover)) << "family " << i;
   }
+}
+
+// A block that reduced a node against one shared best and then tested the
+// edge bound against a newer, smaller best pruned subtrees holding a smaller
+// cover: on this G(24, p) graph (minimum cover 13) Hybrid, WorkStealing and
+// GlobalOnly each returned 14 as optimal in 2-10% of default-config solves
+// on a 4-core host. The race needs blocks running in parallel, so on one
+// core this passes either way.
+TEST_P(AllMethodsTest, MvcOptimumSurvivesConcurrentBestUpdates) {
+  const Method method = GetParam();
+  const graph::CsrGraph g = graph::from_edges(
+      24, {{0, 1},   {0, 5},   {0, 22},  {0, 23},  {1, 7},   {1, 12},
+           {2, 4},   {2, 5},   {2, 6},   {2, 7},   {2, 8},   {2, 12},
+           {2, 21},  {3, 8},   {3, 13},  {3, 15},  {3, 21},  {3, 23},
+           {4, 15},  {5, 9},   {5, 16},  {6, 8},   {6, 14},  {6, 20},
+           {7, 11},  {8, 13},  {8, 17},  {8, 21},  {9, 22},  {9, 23},
+           {10, 16}, {10, 18}, {10, 20}, {11, 21}, {12, 18}, {13, 14},
+           {13, 15}, {13, 16}, {13, 19}, {13, 21}, {14, 19}, {14, 23},
+           {15, 21}, {17, 20}, {18, 19}, {18, 21}, {20, 21}});
+  ASSERT_EQ(vc::oracle_mvc_size(g), 13);
+  SolveWorkspace ws;
+  int wrong = 0;
+  for (int i = 0; i < 300; ++i) {
+    ParallelResult r = solve(g, method, ParallelConfig{}, nullptr, &ws);
+    if (r.outcome != vc::Outcome::kOptimal || r.best_size != 13 ||
+        !graph::is_vertex_cover(g, r.cover))
+      ++wrong;
+  }
+  EXPECT_EQ(wrong, 0);
 }
 
 TEST_P(AllMethodsTest, PvcAgreesWithOracleAroundMin) {

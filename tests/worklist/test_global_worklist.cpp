@@ -145,7 +145,7 @@ TEST(GlobalWorklist, SharedSlotsStayWarmAcrossWorklists) {
   WorklistSlots slots;
   for (int solve = 0; solve < 2; ++solve) {
     GlobalWorklist wl(16, 8, /*num_blocks=*/1, &slots);
-    EXPECT_EQ(slots.size(), wl.capacity());
+    EXPECT_EQ(slots.size(), wl.capacity() + 1);  // one spare per block
     wl.add(root(g));
     EXPECT_TRUE(wl.try_donate(root(g)));
     vc::DegreeArray out;
